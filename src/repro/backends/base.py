@@ -1,28 +1,37 @@
 """Backend base class and the intra-run materialized-trace store.
 
-A *backend* owns the two synthesis-heavy, order-unobservable stages of a
-simulation cell — trace materialization and warmup installation — behind
-a contract of **bit-identical results**: every backend must produce the
-exact tuple stream :func:`repro.workloads.synthetic.generate_trace`
-yields and leave the memory-side cache in the exact state
+A *backend* owns the synthesis-heavy, order-unobservable stage of a
+simulation cell — trace materialization — behind a contract of
+**bit-identical results**: every backend must produce the exact tuple
+stream :func:`repro.workloads.synthetic.generate_trace` yields.  Warmup
+is one path shared by every backend (:meth:`SimBackend.warm`): it leaves
+the memory-side cache in the exact state
 :func:`~repro.workloads.synthetic.warm_lines` would, entry for entry.
 The event loop itself is backend-independent (event ordering is
 observable; it cannot be batched without changing results).
 
 Backends share a :class:`TraceStore`: a content-addressed in-process
-memo of materialized traces, so the many cells that replay the same
-(workload, seed) pair within one invocation — the baseline/dap cell
-pairs of a sweep, alone-IPC references that share core 0's trace —
-generate each trace once and share the list by reference.
+memo of materialized traces and warm-set columns, so the many cells
+that replay the same (workload, seed) pair within one invocation — the
+baseline/dap cell pairs of a sweep, alone-IPC references that share
+core 0's trace — generate each trace and warm set once and share it by
+reference.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import WorkloadProfile, core_base_line
+from repro.workloads.synthetic import (
+    WarmSet,
+    WorkloadProfile,
+    core_base_line,
+    warm_columns,
+    warm_groups,
+)
 
 
 class TraceStore:
@@ -36,7 +45,7 @@ class TraceStore:
     :class:`~repro.experiments.cellcache.ExecStats` counters.
 
     The store is bounded (``max_refs`` total stored references, FIFO
-    eviction) so a long-lived process — a service worker, a pytest
+    eviction: the oldest entry goes first) so a long-lived process — a service worker, a pytest
     session — cannot grow it without limit; paper-scale traces stream
     and never enter the store at all.
     """
@@ -66,7 +75,7 @@ class TraceStore:
         cost = len(entry)
         if cost <= self.max_refs:
             while self._trace_refs + cost > self.max_refs and self._traces:
-                _, (_, old_cost) = self._traces.popitem()
+                _, old_cost = self._traces.pop(next(iter(self._traces)))
                 self._trace_refs -= old_cost
             self._traces[key] = (entry, cost)
             self._trace_refs += cost
@@ -82,7 +91,7 @@ class TraceStore:
         weight = cost(entry)
         if weight <= self.max_refs:
             while self._table_refs + weight > self.max_refs and self._tables:
-                _, (_, old_cost) = self._tables.popitem()
+                _, old_cost = self._tables.pop(next(iter(self._tables)))
                 self._table_refs -= old_cost
             self._tables[key] = (entry, weight)
             self._table_refs += weight
@@ -90,11 +99,11 @@ class TraceStore:
 
 
 class SimBackend:
-    """One trace-synthesis / warmup strategy (bit-identical by contract).
+    """One trace-synthesis strategy (bit-identical by contract).
 
     Subclasses implement ``_build_trace`` (materialize one core's trace
-    as a list of ``(gap, is_write, line)`` tuples) and the warm-set
-    installers; the shared :class:`TraceStore` front caches the traces.
+    as a list of ``(gap, is_write, line)`` tuples); the shared
+    :class:`TraceStore` front caches the traces and the warm sets.
     """
 
     __slots__ = ("store",)
@@ -131,11 +140,29 @@ class SimBackend:
         raise NotImplementedError
 
     # -- warmup --------------------------------------------------------
-    def warm_mix(self, msc, mix: Mix, scale: float) -> int:
-        """Install the mix's warm set; returns the lines installed."""
-        raise NotImplementedError
+    def warm(self, msc, members: Sequence[str], scale: float) -> int:
+        """Install the warm set of every member in ``msc``; core ``i``
+        runs seed ``i`` at :func:`core_base_line` ``(i)``.  Returns the
+        warm lines, refused installs included.
 
-    def warm_solo(self, msc, profile: WorkloadProfile, scale: float,
-                  seed: int = 0) -> int:
-        """Install one workload copy's warm set at base line 0."""
-        raise NotImplementedError
+        Each core's base-0 columns and per-sector groups are built once
+        per ``(profile, scale, seed[, blocks])`` and memoized in the
+        store; the controller installs them in bulk, leaving the state
+        :meth:`~repro.hierarchy.msc_base.MscController.warm_line` would
+        over :meth:`Mix.warm_sets <repro.workloads.mixes.Mix.warm_sets>`.
+        """
+        sets = []
+        for core_id, member in enumerate(members):
+            key = ("warm", member, scale, core_id)
+            spans, dirty = self.store.table(
+                key, partial(warm_columns, get_profile(member), scale, core_id),
+                cost=lambda columns: len(columns[1]))
+            sets.append(WarmSet(core_base_line(core_id), spans, dirty,
+                                partial(self._warm_groups, key, spans, dirty)))
+        msc.warm(sets)
+        return sum(len(warm_set.dirty) for warm_set in sets)
+
+    def _warm_groups(self, key: tuple, spans, dirty: bytes, blocks: int):
+        return self.store.table(key + (blocks,),
+                                partial(warm_groups, spans, dirty, blocks),
+                                cost=lambda groups: len(groups[0]))

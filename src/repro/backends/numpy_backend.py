@@ -1,23 +1,16 @@
-"""Vectorized trace materialization and batched warmup (numpy).
+"""Vectorized trace materialization (numpy).
 
 Entropy stays in CPython: the RNG draw sequence is produced by
-:func:`~repro.workloads.synthetic.trace_columns` /
-:func:`~repro.workloads.synthetic.warm_columns` on the exact
-``random.Random`` state the generators use, so the random stream — and
+:func:`~repro.workloads.synthetic.trace_columns` on the exact
+``random.Random`` state the generator uses, so the random stream — and
 therefore the trace SHA-256 and every simulated result — is
 byte-identical to the python backend.  numpy only does the entropy-free
-tail:
-
-- traces: ``line = base + rel`` offsetting and the ``draw < wf`` write
-  classification in one vector op each, then one ``zip`` into the tuple
-  list the cores consume (``int64.tolist()`` round-trips to exact
-  Python ints);
-- warmup: the warm set's contiguous ranges become ``arange`` columns,
-  grouped into per-sector ``(first line, valid mask, dirty mask)``
-  triples with ``reduceat`` and fed to the controller's batched
-  ``warm_sectors`` — per-line Python work collapses to per-4KB-sector
-  work.  Controllers without ``warm_sectors`` (Alloy, eDRAM) fall back
-  to the streaming ``warm_many`` path.
+tail: ``line = base + rel`` offsetting and the ``draw < wf`` write
+classification in one vector op each, then one ``zip`` into the tuple
+list the cores consume (``int64.tolist()`` round-trips to exact Python
+ints).  Warmup is the shared bulk path of
+:meth:`~repro.backends.base.SimBackend.warm`; numpy vectorizes trace
+materialization only.
 
 numpy itself is imported lazily at construction, so this module is
 importable (e.g. by the slots lint) without the ``[fast]`` extra.
@@ -29,15 +22,7 @@ from typing import Optional
 
 from repro.backends.base import SimBackend, TraceStore
 from repro.errors import ConfigError
-from repro.workloads.mixes import Mix
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import (
-    SECTOR_LINES,
-    WorkloadProfile,
-    core_base_line,
-    trace_columns,
-    warm_columns,
-)
+from repro.workloads.synthetic import WorkloadProfile, trace_columns
 
 
 class NumpyBackend(SimBackend):
@@ -69,63 +54,3 @@ class NumpyBackend(SimBackend):
             lines += base_line
         writes = np.asarray(draws) < profile.write_fraction
         return list(zip(gaps, writes.tolist(), lines.tolist()))
-
-    # -- warmup --------------------------------------------------------
-    def _warm_arrays(self, profile: WorkloadProfile, scale: float,
-                     seed: int):
-        """Memoized base-0 warm columns: ``(lines int64, dirty bool)``."""
-        np = self.np
-
-        def build():
-            spans, (sparse_base, sparse_regions), draws = warm_columns(
-                profile, scale=scale, seed=seed)
-            parts = [np.arange(start, stop, dtype=np.int64)
-                     for start, stop in spans]
-            if sparse_regions:
-                parts.append(sparse_base + SECTOR_LINES *
-                             np.arange(sparse_regions, dtype=np.int64))
-            lines = (np.concatenate(parts) if parts
-                     else np.zeros(0, dtype=np.int64))
-            dirty = np.asarray(draws) < profile.write_fraction
-            return lines, dirty
-
-        return self.store.table(("warm", profile.name, scale, seed), build,
-                                cost=lambda entry: int(entry[0].size))
-
-    def _warm_apply(self, msc, lines, dirty) -> int:
-        """Install ``(lines, dirty)`` columns; batched when the
-        controller groups blocks into <=64-line sectors."""
-        np = self.np
-        if lines.size == 0:
-            return 0
-        warm_sectors = getattr(msc, "warm_sectors", None)
-        bps = getattr(getattr(msc, "array", None), "blocks_per_sector", 0)
-        if warm_sectors is None or not 0 < bps <= 64:
-            return msc.warm_many(zip(lines.tolist(), dirty.tolist()))
-        sids = lines // bps
-        starts = np.flatnonzero(
-            np.concatenate((np.ones(1, dtype=bool), sids[1:] != sids[:-1])))
-        bits = np.left_shift(np.uint64(1), (lines % bps).astype(np.uint64))
-        valid = np.bitwise_or.reduceat(bits, starts)
-        dirty_masks = np.bitwise_or.reduceat(
-            np.where(dirty, bits, np.uint64(0)), starts)
-        return warm_sectors(zip(lines[starts].tolist(), valid.tolist(),
-                                dirty_masks.tolist()))
-
-    def _warm_core(self, msc, profile: WorkloadProfile, scale: float,
-                   seed: int, base_line: int) -> int:
-        lines, dirty = self._warm_arrays(profile, scale, seed)
-        if base_line and lines.size:
-            lines = lines + base_line  # copy: the memoized columns stay base-0
-        return self._warm_apply(msc, lines, dirty)
-
-    def warm_mix(self, msc, mix: Mix, scale: float) -> int:
-        total = 0
-        for core_id, member in enumerate(mix.members):
-            total += self._warm_core(msc, get_profile(member), scale,
-                                     core_id, core_base_line(core_id))
-        return total
-
-    def warm_solo(self, msc, profile: WorkloadProfile, scale: float,
-                  seed: int = 0) -> int:
-        return self._warm_core(msc, profile, scale, seed, 0)

@@ -2,20 +2,14 @@
 
 This *is* the semantics: every other backend must match its output bit
 for bit.  Traces come straight from
-:func:`~repro.workloads.synthetic.generate_trace`; warmup streams
-:func:`~repro.workloads.synthetic.warm_lines` through the controller's
-``warm_many`` / ``warm_line`` exactly as the engine always has.
+:func:`~repro.workloads.synthetic.generate_trace`; warmup is the shared
+bulk path of :meth:`~repro.backends.base.SimBackend.warm`.
 """
 
 from __future__ import annotations
 
 from repro.backends.base import SimBackend
-from repro.workloads.mixes import Mix
-from repro.workloads.synthetic import (
-    WorkloadProfile,
-    generate_trace,
-    warm_lines,
-)
+from repro.workloads.synthetic import WorkloadProfile, generate_trace
 
 
 class PythonBackend(SimBackend):
@@ -29,14 +23,3 @@ class PythonBackend(SimBackend):
                      base_line: int, scale: float, seed: int) -> list:
         return list(generate_trace(profile, num_refs, base_line=base_line,
                                    scale=scale, seed=seed))
-
-    def warm_mix(self, msc, mix: Mix, scale: float) -> int:
-        return msc.warm_many(mix.warm_sets(scale))
-
-    def warm_solo(self, msc, profile: WorkloadProfile, scale: float,
-                  seed: int = 0) -> int:
-        count = 0
-        for line, dirty in warm_lines(profile, scale=scale, seed=seed):
-            msc.warm_line(line, dirty)
-            count += 1
-        return count

@@ -9,6 +9,7 @@ hit/miss predictor live in :mod:`repro.hierarchy.msc_alloy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -92,6 +93,35 @@ class AlloyCacheArray:
             # Refill of the resident block merges dirtiness.
             self._sets[idx] = (line, dirty or old[1])
         return None
+
+    def warm(self, sets) -> None:
+        """Bulk :meth:`fill` of every line of ``sets``
+        (:class:`~repro.workloads.synthetic.WarmSet` records), in order.
+
+        Warm lines are distinct (each core has its own address space), so
+        when none maps to an occupied set the fills collapse into one
+        dict update: the last line mapped to a set wins it, each
+        displaced entry counts as an eviction, and sets keep their
+        first-insertion order, as per-line fills leave them.  Otherwise
+        the lines fill one by one (re-filling a resident line merges
+        dirtiness).
+        """
+        spans = [range(span.start + warm_set.base_line,
+                       span.stop + warm_set.base_line, span.step)
+                 for warm_set in sets for span in warm_set.spans]
+        lines = chain.from_iterable(spans)
+        flags = map(bool, chain.from_iterable(s.dirty for s in sets))
+        index = self.num_sets.__rmod__  # line -> line % num_sets
+        table = self._sets
+        if table and not table.keys().isdisjoint(
+                map(index, chain.from_iterable(spans))):
+            for line, dirty in zip(lines, flags):
+                self.fill(line, dirty)
+            return
+        before = len(table)
+        table.update(zip(map(index, chain.from_iterable(spans)),
+                         zip(lines, flags)))
+        self.evictions += sum(map(len, spans)) - (len(table) - before)
 
     def invalidate(self, line: int) -> bool:
         idx = self.set_index(line)

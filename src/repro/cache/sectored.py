@@ -252,31 +252,62 @@ class SectoredCacheArray:
         No-op (returns None) if the sector is already resident or its set
         is disabled.
         """
-        sector_id = line // self.blocks_per_sector
+        victim = self._allocate(line // self.blocks_per_sector)[1]
+        if victim is None:
+            return None
+        return SectorEviction(
+            sector_id=victim.tag,
+            dirty_lines=self._lines_of(victim, victim.dirty),
+            valid_blocks=bin(victim.valid).count("1"),
+            touched_mask=victim.touched,
+        )
+
+    def _allocate(self, sector_id: int) -> tuple[Optional[_Sector],
+                                                 Optional[_Sector]]:
+        """Make ``sector_id`` resident; returns ``(sector, victim)``.
+
+        ``sector`` is None when the set is disabled; ``victim`` is the
+        sector evicted to make room, if any.
+        """
         idx = sector_id % self.num_sets
         if idx in self._disabled:
-            return None
+            return None, None
         ways = self._sets.get(idx)
         if ways is None:
             ways = self._sets[idx] = {}
-        elif sector_id in ways:
-            return None
-        eviction: Optional[SectorEviction] = None
+        else:
+            sector = ways.get(sector_id)
+            if sector is not None:
+                return sector, None
+        victim = None
         if len(ways) >= self.assoc:
-            vtag = self._select_victim(ways)
-            victim = ways.pop(vtag)
-            eviction = SectorEviction(
-                sector_id=victim.tag,
-                dirty_lines=self._lines_of(victim, victim.dirty),
-                valid_blocks=bin(victim.valid).count("1"),
-                touched_mask=victim.touched,
-            )
+            victim = ways.pop(self._select_victim(ways))
             self.sector_evictions += 1
         sector = _Sector(sector_id)
         self._on_fill(sector)
         ways[sector_id] = sector
         self.sector_allocations += 1
-        return eviction
+        return sector, victim
+
+    def warm(self, sets) -> None:
+        """Bulk warm install of ``sets``
+        (:class:`~repro.workloads.synthetic.WarmSet` records), in order,
+        from their per-sector groups.
+
+        Each group makes its sector resident (victim choice and eviction
+        as :meth:`allocate_sector`) and ORs its masks in: the state that
+        installing the group's lines one by one leaves, with one
+        resolution per group.  A group whose set is disabled is dropped.
+        """
+        bps = self.blocks_per_sector
+        allocate = self._allocate
+        for warm_set in sets:
+            base = warm_set.base_line  # a multiple of bps: masks stay put
+            for first, valid, dirty in zip(*warm_set.groups(bps)):
+                sector = allocate((first + base) // bps)[0]
+                if sector is not None:  # None: the set is disabled
+                    sector.valid |= valid
+                    sector.dirty |= dirty
 
     def invalidate_block(self, line: int) -> bool:
         """Invalidate a single block; returns whether it was dirty."""

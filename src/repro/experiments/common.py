@@ -125,13 +125,15 @@ _MATERIALIZE_REFS_LIMIT = 1_000_000
 
 
 def warm_system(system, mix: Mix, scale: Scale) -> int:
-    """Pre-install the mix's warm set in the memory-side cache.
+    """Pre-install the mix's warm set in the memory-side cache; returns
+    the warm lines.
 
-    Delegated to the active backend: the python backend streams
-    ``warm_many``; the numpy backend installs pre-grouped sector masks.
-    The resulting cache state is bit-identical either way.
+    One bulk path for every cache (:meth:`SimBackend.warm
+    <repro.backends.base.SimBackend.warm>`), bit-identical to per-line
+    :meth:`~repro.hierarchy.msc_base.MscController.warm_line` installs.
     """
-    return active_backend().warm_mix(system.msc, mix, scale.footprint_scale)
+    return active_backend().warm(system.msc, mix.members,
+                                 scale.footprint_scale)
 
 
 def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
@@ -232,7 +234,8 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
             scale=scale.footprint_scale, seed=0,
         )
     system = build_system(solo, [trace])
-    backend.warm_solo(system.msc, profile, scale.footprint_scale, seed=0)
+    # The one-core warm set is core 0's: seed 0 at base line 0.
+    backend.warm(system.msc, (profile_name,), scale.footprint_scale)
     system.run()
     ipc = system.cores[0].ipc or 1e-9
     ALONE_IPC_CACHE.store(memo_key, ipc, disk_key)

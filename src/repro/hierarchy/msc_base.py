@@ -86,16 +86,11 @@ class MscController:
         """
         raise NotImplementedError
 
-    def warm_many(self, lines) -> int:
-        """Install ``(line, dirty)`` pairs (pre-run warmup); returns the
-        count. Equivalent to calling :meth:`warm_line` per pair;
-        controllers may override with a batched fast path."""
-        warm = self.warm_line
-        count = 0
-        for line, dirty in lines:
-            warm(line, dirty)
-            count += 1
-        return count
+    def warm(self, sets) -> None:
+        """Bulk warmup: the cache array installs every
+        :class:`~repro.workloads.synthetic.WarmSet`, as :meth:`warm_line`
+        per line would."""
+        self.array.warm(sets)
 
     # ------------------------------------------------------------------
     # Services for policies

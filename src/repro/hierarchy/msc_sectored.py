@@ -86,63 +86,6 @@ class SectoredMscController(MscController):
         if dirty:
             sector.dirty |= bit
 
-    def warm_many(self, lines) -> int:
-        """Batched :meth:`warm_line`: the warm set enumerates regions in
-        address order and never revisits a sector once past it, so
-        consecutive same-sector lines reuse one resolution (and any
-        eviction happens at a sector boundary, before the re-resolve)."""
-        array = self.array
-        bps = array.blocks_per_sector
-        find = array.find_sector
-        allocate = array.allocate_sector
-        cached_sid = -1
-        sector = None
-        count = 0
-        for line, dirty in lines:
-            count += 1
-            sid = line // bps
-            if sid != cached_sid:
-                sector = find(line)
-                if sector is None:
-                    allocate(line)
-                    sector = find(line)  # None when the set is disabled
-                cached_sid = sid
-            if sector is None:
-                continue
-            bit = 1 << (line % bps)
-            sector.valid |= bit
-            if dirty:
-                sector.dirty |= bit
-        return count
-
-    def warm_sectors(self, groups) -> int:
-        """Batched :meth:`warm_many` taking pre-grouped sectors.
-
-        ``groups`` yields ``(line, valid_mask, dirty_mask)`` — one entry
-        per sector, in the warm set's address order, with the masks
-        OR-reduced over that sector's lines (the numpy backend builds
-        them with ``reduceat``).  Equivalent to ``warm_many`` over the
-        expanded lines: one resolve/allocate per sector, then a single
-        mask OR instead of per-line bit sets.  Returns the line count
-        (``valid_mask`` popcounts), matching ``warm_many``'s count even
-        for sectors refused by a disabled set.
-        """
-        array = self.array
-        find = array.find_sector
-        allocate = array.allocate_sector
-        count = 0
-        for line, valid_mask, dirty_mask in groups:
-            count += valid_mask.bit_count()
-            sector = find(line)
-            if sector is None:
-                allocate(line)
-                sector = find(line)  # None when the set is disabled
-                if sector is None:
-                    continue
-            sector.valid |= valid_mask
-            sector.dirty |= dirty_mask
-        return count
-
     def _resolve(self, line: int):
         """One-scan (sector, bit, probe, dirty) resolution for ``line``."""
         array = self.array

@@ -20,15 +20,17 @@ reproduce the steady-state behaviour of the paper's warmed-up
 
 ``warm_lines`` enumerates the warm set (stream + hot + sparse regions)
 so a run can pre-install it in the memory-side cache, standing in for
-the paper's warmup phase. All randomness is a pure function of
+the paper's warmup phase; ``warm_columns`` and ``warm_groups`` give the
+same set as columns and per-sector masks for bulk installs. All randomness is a pure function of
 (profile, seed).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import WorkloadError
 
@@ -377,30 +379,88 @@ def warm_columns(
     profile: WorkloadProfile,
     scale: float = 1.0,
     seed: int = 0,
-) -> tuple[list[tuple[int, int]], tuple[int, int], list[float]]:
+) -> tuple[tuple[range, ...], bytes]:
     """Column-wise twin of :func:`warm_lines` at ``base_line == 0``.
 
-    Returns ``(spans, sparse, draws)``: ``spans`` is the base-0
-    ``[start, stop)`` contiguous line ranges (stream, then hot),
-    ``sparse`` is ``(start, regions)`` for the one-line-per-4KB sparse
-    heads, and ``draws`` holds the raw ``rng.random()`` dirty draw for
-    every warm line in yield order.  The draw sequence is exactly the
-    generator's (one ``random()`` per line, same seeding), so comparing
-    the draws against the write fraction — scalar or vectorized —
-    reproduces :func:`warm_lines` bit for bit.
+    Returns ``(spans, dirty)``: ``spans`` holds the warm set's line
+    ranges in yield order (stream, hot, then the sparse heads as one
+    range of step ``SECTOR_LINES``), ascending and disjoint; ``dirty``
+    holds one 0/1 flag per warm line in the same order.  The flags come
+    from the generator's exact draw sequence (one ``random()`` per line,
+    same seeding), so the columns reproduce :func:`warm_lines` bit for
+    bit.
     """
     rng = random.Random(_seed_for(profile, seed) ^ 0x5A5A5A5A)
     regions = _layout(profile, scale)
-    spans: list[tuple[int, int]] = []
+    spans: list[range] = []
     if profile.mix.stream > 0:
-        spans.append((0, regions.stream_lines))
+        spans.append(range(regions.stream_lines))
     if profile.mix.hot > 0:
-        spans.append((regions.hot_base,
-                      regions.hot_base + regions.hot_lines))
-    total = sum(stop - start for start, stop in spans) + regions.sparse_regions
-    rand = rng.random
-    draws = [rand() for _ in range(total)]
-    return spans, (regions.sparse_base, regions.sparse_regions), draws
+        spans.append(range(regions.hot_base,
+                           regions.hot_base + regions.hot_lines))
+    if regions.sparse_regions:
+        spans.append(range(regions.sparse_base,
+                           regions.sparse_base
+                           + regions.sparse_regions * SECTOR_LINES,
+                           SECTOR_LINES))
+    rand, wf = rng.random, profile.write_fraction
+    dirty = bytes([rand() < wf for _ in range(sum(map(len, spans)))])
+    return tuple(spans), dirty
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def warm_groups(spans: Sequence[range], dirty: bytes,
+                blocks: int) -> tuple[array, array, array]:
+    """Per-sector columns of :func:`warm_columns` for ``blocks``-line
+    sectors (``blocks`` <= 64).
+
+    One group per run of consecutive warm lines inside one sector:
+    ``(first line, valid mask, dirty mask)`` as ``array('q')`` /
+    ``array('Q')`` columns, the masks over the sector's blocks.  Setting
+    a group's masks in its sector leaves the state that setting its
+    lines one by one would, and adding a multiple of ``blocks`` to every
+    line keeps each group inside one sector with the same masks.
+    """
+    firsts, valids, dirties = array("q"), array("Q"), array("Q")
+    bits = dirty.translate(_ASCII_BITS)
+    pos = 0
+    for span in spans:
+        if span.step != 1:  # strided heads: one group per line
+            for line in span:
+                bit = 1 << line % blocks
+                firsts.append(line)
+                valids.append(bit)
+                dirties.append(bit if dirty[pos] else 0)
+                pos += 1
+            continue
+        line = span.start
+        while line < span.stop:
+            offset = line % blocks
+            end = min(span.stop, line - offset + blocks)
+            count = end - line
+            firsts.append(line)
+            valids.append(((1 << count) - 1) << offset)
+            # Reversed so the first line's flag lands in the low bit.
+            dirties.append(int(bits[pos:pos + count][::-1], 2) << offset)
+            pos += count
+            line = end
+    return firsts, valids, dirties
+
+
+class WarmSet(NamedTuple):
+    """One core's warm set, as the bulk warm installs take it.
+
+    ``spans`` and ``dirty`` are :func:`warm_columns` at base 0;
+    ``groups(blocks)`` returns their :func:`warm_groups`.  Installs add
+    ``base_line`` (a multiple of ``SECTOR_LINES``) to every line.
+    """
+
+    base_line: int
+    spans: tuple[range, ...]
+    dirty: bytes
+    groups: Callable[[int], tuple[array, array, array]]
 
 
 def core_base_line(core_id: int) -> int:

@@ -1,17 +1,16 @@
 """Backend registry, bit-identity parity, and trace-store accounting.
 
 The backends contract (PERFORMANCE.md "Backends") is that every backend
-produces *bit-identical* simulation inputs — same materialized traces,
-same warm cache state — differing only in wall clock. These tests pin
-that contract directly (python vs numpy trace/warm parity, golden
-equality) plus the plumbing around it: name resolution, auto fallback
-when numpy is absent, trace-store hit accounting, and backend-blind
-cell caching.
+produces *bit-identical* simulation inputs — the same materialized
+traces — differing only in wall clock; warmup is one path shared by all
+of them (tests/test_warm_bulk.py). These tests pin that contract
+directly (python vs numpy trace parity, golden equality) plus the
+plumbing around it: name resolution, auto fallback when numpy is
+absent, trace-store hit accounting, and backend-blind cell caching.
 """
 
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,6 @@ from repro.backends.base import TraceStore
 from repro.backends.python_backend import PythonBackend
 from repro.errors import ConfigError
 from repro.experiments.common import get_scale, scaled_config
-from repro.hierarchy.system import build_system
 from repro.workloads.mixes import rate_mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import core_base_line, generate_trace
@@ -125,15 +123,23 @@ def test_trace_store_counts_and_identity():
 
 
 def test_trace_store_evicts_at_capacity():
-    store = TraceStore(max_refs=3)
+    """Both memos evict the oldest entry first (FIFO)."""
+    store = TraceStore(max_refs=4)
+    for key in ("a", "b", "c"):  # "c" evicts "a", the oldest
+        store.trace((key,), lambda: [(0, False, 0)] * 2)
+    store.trace(("b",), lambda: [(0, False, 0)] * 2)
+    assert store.generated == 3 and store.reused == 1
     store.trace(("a",), lambda: [(0, False, 0)] * 2)
-    store.trace(("b",), lambda: [(0, False, 0)] * 2)  # evicts "a" (FIFO)
-    store.trace(("a",), lambda: [(0, False, 0)] * 2)
-    assert store.generated == 3 and store.reused == 0
+    assert store.generated == 4
+
+    built = []
+    for key in ("a", "b", "c", "b"):
+        store.table((key,), lambda: built.append(key) or [0, 0])
+    assert built == ["a", "b", "c"]
 
 
 # ----------------------------------------------------------------------
-# Bit-identity parity: materialized traces and warm state
+# Bit-identity parity: materialized traces
 # ----------------------------------------------------------------------
 
 @needs_numpy
@@ -156,34 +162,6 @@ def test_trace_parity_python_numpy_generator(profile_name):
         # arithmetic must be indistinguishable from the generator's.
         assert all(type(line) is int for _, _, line in via_numpy)
         assert all(type(write) is bool for _, write, _ in via_numpy)
-
-
-@needs_numpy
-@pytest.mark.parametrize("profile_name", PARITY_PROFILES)
-def test_warm_state_parity(profile_name):
-    """Both warm paths leave byte-identical sector valid/dirty state."""
-    scale = get_scale("smoke")
-    mix = rate_mix(profile_name)
-    config = replace(scaled_config(scale), num_cores=mix.num_cores)
-
-    def build_warm(backend):
-        traces = backend.mix_traces(mix, 10, scale.footprint_scale)
-        system = build_system(config, [iter(t) for t in traces])
-        count = backend.warm_mix(system.msc, mix, scale.footprint_scale)
-        return system.msc, count
-
-    msc_py, count_py = build_warm(PythonBackend())
-    msc_np, count_np = build_warm(_numpy_backend())
-    assert count_np == count_py
-    probed = 0
-    for line, _ in mix.warm_sets(scale.footprint_scale):
-        a = msc_py.array.find_sector(line)
-        b = msc_np.array.find_sector(line)
-        assert (a is None) == (b is None), f"line {line}"
-        if a is not None:
-            assert (a.valid, a.dirty) == (b.valid, b.dirty), f"line {line}"
-            probed += 1
-    assert probed > 0
 
 
 @needs_numpy
