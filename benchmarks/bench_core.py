@@ -1,13 +1,15 @@
-"""Core engine microbenchmarks: event queue, DRAM dispatch, end-to-end.
+"""Core engine microbenchmarks: event queue, DRAM, SRAM walk, end-to-end.
 
 The bench_fig* suites time whole paper artifacts; these instead isolate
-the three layers the simulator spends its life in, so a hot-path change
-shows up as a throughput delta in the layer that owns it:
+the layers the simulator spends its life in, so a hot-path change shows
+up as a throughput delta in the layer that owns it:
 
 * ``drain_event_queue`` — the :class:`Simulator` heap alone, dispatching
   self-rescheduling callbacks with no model work attached.
 * ``drive_channel`` — one DDR4-like :class:`DramChannel` chewing a
   read/write mix of row-hit streams and scattered row misses.
+* ``walk_sram`` — the L1/L2 walk of ``CacheHierarchy._access`` alone,
+  over a warmed L2-sized footprint, so every access hits L1 or L2.
 * ``run_smoke_cell`` — one full smoke-scale mix (cores, SRAM hierarchy,
   memory-side cache, both DRAM devices), the number the BENCH_*.json
   trajectory gates on.
@@ -30,12 +32,16 @@ Two entry points:
 
 from __future__ import annotations
 
+import random
 import time
+from functools import lru_cache
+from types import SimpleNamespace
 
 from repro.engine.clock import ClockDomain
 from repro.engine.event_queue import Simulator
 from repro.experiments.cellcache import CellProfile, ExecStats
 from repro.experiments.common import SMOKE, run_mix, scaled_config
+from repro.hierarchy.cache_hierarchy import CacheHierarchy, SramLevels
 from repro.mem.channel import DramChannel
 from repro.mem.request import AccessKind, Request
 from repro.mem.timing import DramTiming
@@ -43,6 +49,7 @@ from repro.workloads.mixes import rate_mix
 
 EVENT_QUEUE_EVENTS = 200_000
 CHANNEL_REQUESTS = 30_000
+SRAM_WALK_REFS = 200_000
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +112,38 @@ def drive_channel(num_requests: int = CHANNEL_REQUESTS) -> int:
     return sim.run()
 
 
+@lru_cache(maxsize=1)
+def _sram_stream(num_refs: int, num_lines: int,
+                 seed: int = 13) -> tuple:
+    """A seeded ``(line, dirty)`` stream over ``num_lines`` lines, one
+    store in eight (dirty L1 victims then fold back into L2)."""
+    rng = random.Random(seed)
+    return tuple((rng.randrange(num_lines), rng.random() < 0.125)
+                 for _ in range(num_refs))
+
+
+def walk_sram(num_refs: int = SRAM_WALK_REFS) -> int:
+    """Drive ``CacheHierarchy._access`` over L1/L2 hits only.
+
+    The lines span exactly the L2's capacity, so every set holds its
+    ``assoc`` lines: after one warming pass the L2 never misses and the
+    walk never reaches the L3 or the memory-side cache. Returns the
+    accesses walked.
+    """
+    levels = SramLevels()
+    l2_lines = levels.l2_bytes // 64
+    hierarchy = CacheHierarchy(Simulator(), 1, SimpleNamespace(policy=None),
+                               levels=levels, enable_prefetch=False)
+    l2 = hierarchy.l2[0]
+    for line in range(l2_lines):
+        l2.fill_pair(line)
+    access = hierarchy._access
+    for line, dirty in _sram_stream(num_refs, l2_lines):
+        access(0, line, dirty, None, None)
+    assert l2.misses == 0, "the walk left the L1/L2"
+    return num_refs
+
+
 def run_smoke_cell(policy: str = "dap") -> tuple[int, float]:
     """Run one smoke-scale mcf rate mix end to end.
 
@@ -132,6 +171,11 @@ def test_channel_dispatch_throughput(benchmark):
     events = benchmark.pedantic(drive_channel, rounds=3, iterations=1)
     # Every request dispatches at least one completion event.
     assert events >= CHANNEL_REQUESTS
+
+
+def test_sram_walk_throughput(benchmark):
+    accesses = benchmark.pedantic(walk_sram, rounds=3, iterations=1)
+    assert accesses == SRAM_WALK_REFS
 
 
 def test_end_to_end_smoke_cell(benchmark):
@@ -178,6 +222,7 @@ def main(argv=None) -> int:
     for name, fn in (
         ("core.event_queue", drain_event_queue),
         ("core.channel_dispatch", drive_channel),
+        ("core.walk_sram", walk_sram),
     ):
         events, wall = best_of(fn)
         per_experiment[name] = _stats_for(name, events, wall)

@@ -92,18 +92,6 @@ class NRUPolicy:
             way.stamp = 0
         return first
 
-    @staticmethod
-    def normalize(ways: Sequence[Way], accessed_idx: int) -> None:
-        """Clear all NRU bits except the most recent access.
-
-        Callers invoke this after ``on_access`` when every bit is set, to
-        bound how stale the bits can get. Optional: ``select_victim``
-        already handles the all-set case.
-        """
-        if all(w.stamp == 1 for w in ways):
-            for i, w in enumerate(ways):
-                w.stamp = 1 if i == accessed_idx else 0
-
 
 def make_policy(name: str):
     """Construct a replacement policy by name ('lru' or 'nru')."""

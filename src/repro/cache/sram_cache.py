@@ -1,8 +1,9 @@
 """Generic set-associative SRAM cache (functional model).
 
 Used for the L1/L2/L3 hierarchy and, via thin wrappers, for SRAM metadata
-structures (tag cache, DBC). Sets are allocated lazily so multi-gigabyte
-address spaces cost memory proportional to the touched footprint only.
+structures (tag cache, DBC). Every set is allocated up front as an empty
+dict in a list indexed by set number (no array in the model has more
+than 8,192 sets), so a lookup is a list index with no missing-set case.
 
 The model is *functional*: it tracks presence, dirtiness and recency.
 Latency and bandwidth accounting belong to the hierarchy layer.
@@ -11,7 +12,7 @@ Latency and bandwidth accounting belong to the hierarchy layer.
 reference walks L1→L2→L3), so each set is an ordered dict keyed by
 line address — presence is one hash probe instead of a way scan. LRU
 — the policy every SRAM instance uses — keeps each set in recency
-order (touch = delete + reinsert at the end) and stores just the dirty
+order (touch = pop + reinsert at the end) and stores just the dirty
 bit as the value: the victim is simply the first key, no stamp scan and
 no per-line object. This is bit-identical to stamp-based LRU: the
 monotone clock hands every touch a unique stamp, so the min-stamp way
@@ -107,7 +108,7 @@ class SRAMCache:
         self.num_sets = size_bytes // (assoc * line_bytes)
         # set index -> ordered dict of resident lines. LRU: {line: dirty}
         # in recency order. Other policies: {line: _Line} in fill order.
-        self._sets: dict[int, dict] = {}
+        self._sets: list[dict] = [{} for _ in range(self.num_sets)]
         self._policy = make_policy(policy)
         self._on_access = self._policy.on_access
         self._on_fill = self._policy.on_fill
@@ -118,45 +119,35 @@ class SRAMCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
-    # ------------------------------------------------------------------
     # Public operations
     # ------------------------------------------------------------------
     def lookup(self, line: int, is_write: bool = False) -> bool:
         """Access a line; returns True on hit, updating recency/dirty."""
-        ways = self._sets.get(line % self.num_sets)
-        if ways is not None:
-            if self._lru:
-                prev = ways.get(line, _ABSENT)
-                if prev is not _ABSENT:
-                    self.hits += 1
-                    del ways[line]
-                    ways[line] = True if is_write else prev
-                    return True
-            else:
-                entry = ways.get(line)
-                if entry is not None:
-                    self.hits += 1
-                    self._on_access(entry)
-                    if is_write:
-                        entry.dirty = True
-                    return True
+        ways = self._sets[line % self.num_sets]
+        if self._lru:
+            prev = ways.pop(line, _ABSENT)
+            if prev is not _ABSENT:
+                self.hits += 1
+                ways[line] = True if is_write else prev
+                return True
+        else:
+            entry = ways.get(line)
+            if entry is not None:
+                self.hits += 1
+                self._on_access(entry)
+                if is_write:
+                    entry.dirty = True
+                return True
         self.misses += 1
         return False
 
     def probe(self, line: int) -> bool:
         """Presence check with no stats or recency side effects."""
-        ways = self._sets.get(line % self.num_sets)
-        return ways is not None and line in ways
+        return line in self._sets[line % self.num_sets]
 
     def is_dirty(self, line: int) -> Optional[bool]:
         """Dirty state of a resident line, or None if absent."""
-        ways = self._sets.get(line % self.num_sets)
-        if ways is None:
-            return None
-        entry = ways.get(line, _ABSENT)
+        entry = self._sets[line % self.num_sets].get(line, _ABSENT)
         if entry is _ABSENT:
             return None
         return entry if self._lru else entry.dirty
@@ -167,16 +158,11 @@ class SRAMCache:
         Filling a line already present just refreshes it (merging
         dirty). The hot-path twin of :meth:`fill`: no Eviction object.
         """
-        sets = self._sets
-        idx = line % self.num_sets
-        ways = sets.get(idx)
+        ways = self._sets[line % self.num_sets]
         lru = self._lru
-        if ways is None:
-            ways = sets[idx] = {}
-        elif lru:
-            prev = ways.get(line, _ABSENT)
+        if lru:
+            prev = ways.pop(line, _ABSENT)
             if prev is not _ABSENT:
-                del ways[line]
                 ways[line] = prev or dirty
                 return None
         else:
@@ -211,10 +197,7 @@ class SRAMCache:
 
     def invalidate(self, line: int) -> Optional[bool]:
         """Remove a line; returns its dirty bit, or None if absent."""
-        ways = self._sets.get(line % self.num_sets)
-        if ways is None:
-            return None
-        entry = ways.pop(line, _ABSENT)
+        entry = self._sets[line % self.num_sets].pop(line, _ABSENT)
         if entry is _ABSENT:
             return None
         return entry if self._lru else entry.dirty
@@ -225,8 +208,8 @@ class SRAMCache:
         Pure metadata update: recency is untouched (a plain dict value
         assignment keeps the key's position).
         """
-        ways = self._sets.get(line % self.num_sets)
-        if ways is None or line not in ways:
+        ways = self._sets[line % self.num_sets]
+        if line not in ways:
             return False
         if self._lru:
             ways[line] = True
@@ -236,8 +219,8 @@ class SRAMCache:
 
     def clean(self, line: int) -> bool:
         """Clear the dirty bit of a resident line; False if absent."""
-        ways = self._sets.get(line % self.num_sets)
-        if ways is None or line not in ways:
+        ways = self._sets[line % self.num_sets]
+        if line not in ways:
             return False
         if self._lru:
             ways[line] = False
@@ -256,4 +239,4 @@ class SRAMCache:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets.values())
+        return sum(len(ways) for ways in self._sets)

@@ -12,9 +12,18 @@ either at an absolute cycle (:meth:`Simulator.at`) or after a delay
 
 The dispatch loop is the innermost loop of every simulation, so it is
 written allocation-free: heap primitives and queue references are bound
-to locals, the common ``run()`` (no ``until``, no ``max_events``) takes
-a fast path with no per-event bound checks, and the lifetime event
-counter is updated once per ``run`` call rather than per event.
+to locals, and the common ``run()`` (no ``until``, no ``max_events``)
+takes a fast path with no per-event bound checks and no per-event
+counter: every event consumes one sequence number and leaves the queue
+once, so the events dispatched are the sequence numbers consumed plus
+the events queued at the start, less those still queued at the end.
+
+While that fast path runs, :attr:`Simulator.inline_ok` is true, and a
+component about to schedule its own callback strictly before the heap
+top (or on an empty heap) may take the event in place instead: it
+consumes the sequence number, sets ``now`` and runs the callback's work
+directly. The pushed event would have been the very next one popped, so
+the event order, the clock and the event count are unchanged.
 """
 
 from __future__ import annotations
@@ -43,14 +52,14 @@ class Simulator:
     [10]
     """
 
-    __slots__ = ("now", "_queue", "_seq", "_events_dispatched", "_running")
+    __slots__ = ("now", "_queue", "_seq", "_events_dispatched", "inline_ok")
 
     def __init__(self) -> None:
         self.now: int = 0
         self._queue: list[tuple[int, int, Callback]] = []
         self._seq: int = 0
         self._events_dispatched: int = 0
-        self._running: bool = False
+        self.inline_ok: bool = False  # see the module docstring
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -98,21 +107,33 @@ class Simulator:
           must be able to resume with the remaining events still in the
           future. Callers that want the clock at ``until`` regardless
           should keep calling ``run(until=...)`` until it returns 0.
+
+        An event counts as dispatched once it is popped and its callback
+        called, also when the callback raises.
         """
         queue = self._queue
         pop = _heappop
-        dispatched = 0
-        self._running = True
-        try:
-            if until is None and max_events is None:
-                # Fast path: drain the queue with no per-event bound
-                # checks (the overwhelmingly common full-run case).
+        outer_inline = self.inline_ok
+        if until is None and max_events is None:
+            # Fast path: drain the queue with no per-event bound checks
+            # (the overwhelmingly common full-run case). The count is
+            # derived from sequence numbers, and assigned rather than
+            # added so that a nested run's events are not counted twice.
+            base = self._events_dispatched
+            first_seq = self._seq - len(queue)
+            self.inline_ok = True
+            try:
                 while queue:
-                    time, _seq, callback = pop(queue)
-                    self.now = time
+                    self.now, _seq, callback = pop(queue)
                     callback()
-                    dispatched += 1
-                return dispatched
+            finally:
+                self.inline_ok = outer_inline
+                dispatched = self._seq - first_seq - len(queue)
+                self._events_dispatched = base + dispatched
+            return dispatched
+        dispatched = 0
+        self.inline_ok = False
+        try:
             while queue:
                 time = queue[0][0]
                 if until is not None and time > until:
@@ -122,15 +143,15 @@ class Simulator:
                     break
                 callback = pop(queue)[2]
                 self.now = time
-                callback()
                 dispatched += 1
+                callback()
             else:
                 if until is not None and until > self.now:
                     self.now = until
             return dispatched
         finally:
             self._events_dispatched += dispatched
-            self._running = False
+            self.inline_ok = outer_inline
 
     def step(self) -> bool:
         """Dispatch a single event; return False if the queue is empty."""
@@ -148,8 +169,9 @@ class Simulator:
     def events_dispatched(self) -> int:
         """Total events dispatched over the simulator's lifetime.
 
-        Updated when a ``run`` call returns (batched for speed), so the
-        count is not visible to callbacks firing *within* a run.
+        Updated when a ``run`` call returns or raises (batched for
+        speed), so the count is not visible to callbacks firing *within*
+        a run.
         """
         return self._events_dispatched
 

@@ -22,6 +22,14 @@ from repro.hierarchy.msc_base import MscController
 from repro.mem.request import AccessKind
 
 FillCallback = Callable[[int], None]
+#: What an L3 miss calls on arrival, as ``callback(arg, finish)``: the
+#: core hands over a bound method and its argument, not a closure.
+WaiterCallback = Callable[[object, int], None]
+
+
+def _call_on_fill(on_fill: FillCallback, finish: int) -> None:
+    """Adapts the public ``on_fill(finish)`` contract to a waiter."""
+    on_fill(finish)
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,9 @@ class CacheHierarchy:
         self.prefetchers = (
             [StridePrefetcher() for _ in range(num_cores)] if enable_prefetch else None
         )
-        # Outstanding L3 misses: line -> list of (core_id, dirty, callback).
-        self._inflight: dict[int, list[tuple[int, bool, Optional[FillCallback]]]] = {}
+        # Outstanding L3 misses: line -> list of
+        # (core_id, dirty, callback, arg) waiters.
+        self._inflight: dict[int, list[tuple]] = {}
         self.l3_demand_misses = [0] * num_cores
         self.l3_demand_accesses = [0] * num_cores
         # Prefetch throttle: bounded in-flight prefetches per core.
@@ -133,50 +142,48 @@ class CacheHierarchy:
              on_fill: Optional[FillCallback] = None) -> Optional[int]:
         """Demand load. Returns the SRAM latency on a hit; on an L3 miss
         returns None and calls ``on_fill(finish_cycle)`` later."""
-        return self._access(core_id, line, dirty=False, on_fill=on_fill)
+        return self._access(core_id, line, False,
+                            None if on_fill is None else _call_on_fill,
+                            on_fill)
 
     def store(self, core_id: int, line: int,
               on_fill: Optional[FillCallback] = None) -> Optional[int]:
         """Demand store (write-allocate: a miss fetches the line, then
         marks it dirty)."""
-        return self._access(core_id, line, dirty=True, on_fill=on_fill)
+        return self._access(core_id, line, True,
+                            None if on_fill is None else _call_on_fill,
+                            on_fill)
 
     def _access(self, core_id: int, line: int, dirty: bool,
-                on_fill: Optional[FillCallback]) -> Optional[int]:
-        # Runs once per memory instruction. The three SRAM lookups and
-        # the L1/L2 fill cascades are inlined — byte-for-byte the LRU
-        # branch of SRAMCache.lookup/fill_pair — so the common SRAM
-        # paths cost no extra Python frames. The fills also skip
+                callback: Optional[WaiterCallback], arg) -> Optional[int]:
+        # Runs once per memory instruction; an L3 miss later calls
+        # ``callback(arg, finish)``. The three SRAM lookups and the L1/L2
+        # fill cascades are inlined — byte-for-byte the LRU branch of
+        # SRAMCache.lookup/fill_pair — so the common SRAM paths cost no
+        # extra Python frames. A lookup pops the line and a hit
+        # reinserts it, which is the LRU touch. The fills skip
         # fill_pair's refresh check and reuse the set dict resolved at
         # lookup: the filled line provably just missed that same set,
         # and nothing between lookup and fill touches the array (the
         # cascades only go downward). (The hierarchy always builds LRU
         # arrays; __init__ asserts it.)
         l1 = self.l1[core_id]
-        sets1 = l1._sets
-        idx1 = line % l1.num_sets
-        ways1 = sets1.get(idx1)
-        entry = _ABSENT if ways1 is None else ways1.get(line, _ABSENT)
+        ways1 = l1._sets[line % l1.num_sets]
+        entry = ways1.pop(line, _ABSENT)
         if entry is not _ABSENT:
             l1.hits += 1
-            del ways1[line]
             ways1[line] = True if dirty else entry
             return self._l1_lat
         l1.misses += 1
         l2 = self.l2[core_id]
-        sets2 = l2._sets
-        idx2 = line % l2.num_sets
-        ways2 = sets2.get(idx2)
-        entry = _ABSENT if ways2 is None else ways2.get(line, _ABSENT)
+        ways2 = l2._sets[line % l2.num_sets]
+        entry = ways2.pop(line, _ABSENT)
         if entry is not _ABSENT:
             l2.hits += 1
-            del ways2[line]
             ways2[line] = entry
             # Fill L1; a dirty victim folds into L2.
             vdirty = False
-            if ways1 is None:
-                ways1 = sets1[idx1] = {}
-            elif len(ways1) >= l1.assoc:
+            if len(ways1) >= l1.assoc:
                 vtag = next(iter(ways1))
                 vdirty = ways1.pop(vtag)
                 l1.evictions += 1
@@ -190,17 +197,14 @@ class CacheHierarchy:
             self._train_prefetch(core_id, line)
         self.l3_demand_accesses[core_id] += 1
         l3 = self.l3
-        ways = l3._sets.get(line % l3.num_sets)
-        entry = _ABSENT if ways is None else ways.get(line, _ABSENT)
+        ways = l3._sets[line % l3.num_sets]
+        entry = ways.pop(line, _ABSENT)
         if entry is not _ABSENT:
             l3.hits += 1
-            del ways[line]
             ways[line] = entry
             # Fill L2 (clean); a dirty victim cascades into L3.
             vdirty = False
-            if ways2 is None:
-                ways2 = sets2[idx2] = {}
-            elif len(ways2) >= l2.assoc:
+            if len(ways2) >= l2.assoc:
                 vtag = next(iter(ways2))
                 vdirty = ways2.pop(vtag)
                 l2.evictions += 1
@@ -211,9 +215,7 @@ class CacheHierarchy:
                     self.msc.write(ev3[0], core_id)
             # Fill L1; a dirty victim folds into L2.
             vdirty = False
-            if ways1 is None:
-                ways1 = sets1[idx1] = {}
-            elif len(ways1) >= l1.assoc:
+            if len(ways1) >= l1.assoc:
                 vtag = next(iter(ways1))
                 vdirty = ways1.pop(vtag)
                 l1.evictions += 1
@@ -224,33 +226,33 @@ class CacheHierarchy:
         l3.misses += 1
         # L3 miss.
         self.l3_demand_misses[core_id] += 1
-        self._request_line(core_id, line, dirty, on_fill)
+        self._request_line(core_id, line, dirty, callback, arg)
         return None
 
     # ------------------------------------------------------------------
     # Miss handling with MSHR-style merging
     # ------------------------------------------------------------------
     def _request_line(self, core_id: int, line: int, dirty: bool,
-                      on_fill: Optional[FillCallback],
+                      callback: Optional[WaiterCallback], arg,
                       kind: AccessKind = AccessKind.DEMAND_READ) -> None:
         waiters = self._inflight.get(line)
         if waiters is not None:
-            waiters.append((core_id, dirty, on_fill))
+            waiters.append((core_id, dirty, callback, arg))
             return
-        self._inflight[line] = [(core_id, dirty, on_fill)]
+        self._inflight[line] = [(core_id, dirty, callback, arg)]
         self.msc.read(line, core_id,
                       callback=lambda finish, l=line: self._line_arrived(l, finish),
                       kind=kind)
 
     def _line_arrived(self, line: int, finish: int) -> None:
         waiters = self._inflight.pop(line, [])
-        any_dirty = any(d for _, d, _ in waiters)
+        any_dirty = any(waiter[1] for waiter in waiters)
         ev3 = self.l3.fill_pair(line, any_dirty)
         if ev3 is not None and ev3[1]:
             self.msc.write(ev3[0], core_id=-1)
-        for core_id, dirty, callback in waiters:
+        for core_id, dirty, callback, arg in waiters:
             if core_id >= 0:
-                # Same transitions as _fill_l2 then _fill_l1, inlined.
+                # Fill L2 (a dirty victim cascades into L3), then L1.
                 ev2 = self.l2[core_id].fill_pair(line)
                 if ev2 is not None and ev2[1]:
                     ev3 = self.l3.fill_pair(ev2[0], True)
@@ -260,27 +262,7 @@ class CacheHierarchy:
                 if ev1 is not None and ev1[1]:
                     self.l2[core_id].fill_pair(ev1[0], True)
             if callback is not None:
-                callback(finish)
-
-    # ------------------------------------------------------------------
-    # Fill plumbing with dirty-writeback cascades
-    # ------------------------------------------------------------------
-    def _fill_l1(self, core_id: int, line: int, dirty: bool) -> None:
-        evicted = self.l1[core_id].fill_pair(line, dirty)
-        if evicted is not None and evicted[1]:
-            self.l2[core_id].fill_pair(evicted[0], True)
-
-    def _fill_l2(self, core_id: int, line: int) -> None:
-        evicted = self.l2[core_id].fill_pair(line)
-        if evicted is not None and evicted[1]:
-            ev3 = self.l3.fill_pair(evicted[0], True)
-            if ev3 is not None and ev3[1]:
-                self.msc.write(ev3[0], core_id)
-
-    def _fill_l3(self, line: int, dirty: bool = False) -> None:
-        evicted = self.l3.fill_pair(line, dirty)
-        if evicted is not None and evicted[1]:
-            self.msc.write(evicted[0], core_id=-1)
+                callback(arg, finish)
 
     # ------------------------------------------------------------------
     # Prefetching
@@ -300,13 +282,10 @@ class CacheHierarchy:
             ):
                 continue
             self._pf_inflight[core_id] += 1
-            self._request_line(
-                core_id, target, dirty=False,
-                on_fill=lambda finish, c=core_id: self._pf_done(c),
-                kind=AccessKind.PREFETCH_READ,
-            )
+            self._request_line(core_id, target, False, self._pf_done,
+                               core_id, kind=AccessKind.PREFETCH_READ)
 
-    def _pf_done(self, core_id: int) -> None:
+    def _pf_done(self, core_id: int, finish: int) -> None:
         self._pf_inflight[core_id] -= 1
 
     # ------------------------------------------------------------------
@@ -316,6 +295,3 @@ class CacheHierarchy:
         if instructions <= 0:
             return 0.0
         return self.l3_demand_misses[core_id] / (instructions / 1000.0)
-
-    def total_l3_misses(self) -> int:
-        return sum(self.l3_demand_misses)

@@ -17,12 +17,20 @@ complete when the memory-side subsystem delivers the line. The paper's
 methodology scales core buffers so streaming kernels can demand the
 combined cache+memory bandwidth; tests assert our model does the same.
 
-``_run`` executes once per memory instruction across every core, making
-it the single hottest Python frame in a simulation; it binds its loop
-state to locals and inlines the trace peek/consume bookkeeping. The
-hierarchy never invokes fill callbacks synchronously from ``load``/
-``store`` (misses complete via later simulator events), so the cached
-locals cannot go stale within one ``_run`` activation.
+``_run`` executes once per wake-up of a core, not per memory
+instruction (311,576 wake-ups serve the 640,000 references of a cold
+perfbench ``fig06-reads`` pass), making it the single hottest Python
+frame in a simulation; it binds its loop state to locals and inlines
+the trace peek/consume bookkeeping. The hierarchy never invokes fill
+callbacks synchronously from ``load``/``store`` (misses complete via
+later simulator events), so the cached locals cannot go stale within
+one ``_run`` activation.
+
+A wake due strictly before every queued event is taken in place when
+the simulator allows it (:attr:`Simulator.inline_ok`): that event would
+be popped next, so consuming its sequence number, advancing the clock
+and dispatching replays the re-entry exactly, including its dispatch
+time recomputed from ``_vtime`` (a ROB stall does not advance it).
 """
 
 from __future__ import annotations
@@ -114,22 +122,12 @@ class TraceCore:
         return self.instr_count / self.finish_cycle
 
     # ------------------------------------------------------------------
-    def _peek(self) -> Optional[TraceEntry]:
-        if self._pending is None and not self._exhausted:
-            self._pending = next(self._trace, None)
-            if self._pending is None:
-                self._exhausted = True
-        return self._pending
-
-    def _consume(self) -> None:
-        self._pending = None
-
-    # ------------------------------------------------------------------
     def _run(self) -> None:
         if self.done:
             return
         self._wake_scheduled = False
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         # Loop state bound to locals; flushed back on every exit path.
         trace_next = self._trace.__next__
         pending = self._pending
@@ -143,6 +141,9 @@ class TraceCore:
         h_access = self.hierarchy._access
         core_id = self.core_id
         load_fill = self._load_fill
+        store_fill = self._store_fill
+        queue = sim._queue
+        inline_ok = sim.inline_ok
         instr_count = self.instr_count
         vtime = self._vtime
         try:
@@ -168,7 +169,7 @@ class TraceCore:
                     return
                 gap, is_write, line = entry
                 idx = instr_count + gap
-                t = vtime + gap / width
+                t = base = vtime + gap / width
 
                 # ROB window: retire (or stall on) loads falling out of it.
                 window_floor = idx - rob_entries
@@ -185,8 +186,18 @@ class TraceCore:
                     return
 
                 if t > now:
-                    self._schedule_wake(_ceil(t))
-                    return
+                    when = _ceil(t)
+                    seq = sim._seq
+                    sim._seq = seq + 1
+                    if not inline_ok or (queue and queue[0][0] <= when):
+                        self._wake_scheduled = True
+                        _heappush(queue, (when, seq, self._run))
+                        return
+                    # Inline wake: the event would pop next, so take it
+                    # here. Its re-entry would find the ROB head retired
+                    # and the MSHRs unchanged, and recompute t from vtime.
+                    sim.now = now = when
+                    t = base
 
                 # Dispatch the memory instruction now.
                 pending = None
@@ -195,16 +206,13 @@ class TraceCore:
 
                 if is_write:
                     self.stores += 1
-                    lat = h_access(core_id, line, True, self._store_fill)
+                    lat = h_access(core_id, line, True, store_fill, None)
                     if lat is None:
                         self._misses_inflight += 1
                 else:
                     self.loads += 1
                     record = [idx, None]
-                    lat = h_access(
-                        core_id, line, False,
-                        lambda finish, rec=record: load_fill(rec, finish),
-                    )
+                    lat = h_access(core_id, line, False, load_fill, record)
                     if lat is None:
                         self.l3_miss_loads += 1
                         self._misses_inflight += 1
@@ -220,21 +228,21 @@ class TraceCore:
     def _load_fill(self, record: list, finish: int) -> None:
         record[1] = finish
         self._misses_inflight -= 1
-        self._schedule_wake(self.sim.now)
+        self._schedule_wake()
 
-    def _store_fill(self, finish: int) -> None:
+    def _store_fill(self, _arg, finish: int) -> None:
         self._misses_inflight -= 1
-        self._schedule_wake(self.sim.now)
+        self._schedule_wake()
 
-    def _schedule_wake(self, when: int) -> None:
+    def _schedule_wake(self) -> None:
+        """Wake the core this cycle (a fill freed a ROB head or MSHR)."""
         if self._wake_scheduled or self.done:
             return
         self._wake_scheduled = True
         sim = self.sim
-        now = sim.now
         seq = sim._seq
         sim._seq = seq + 1
-        _heappush(sim._queue, (when if when > now else now, seq, self._run))
+        _heappush(sim._queue, (sim.now, seq, self._run))
 
     # ------------------------------------------------------------------
     def _maybe_finish(self, now: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.cache.alloy import AlloyCacheArray
@@ -90,9 +90,6 @@ class SystemConfig:
             )
         if self.num_cores <= 0:
             raise ConfigError("num_cores must be positive")
-
-    def with_policy(self, policy: str) -> "SystemConfig":
-        return replace(self, policy=policy)
 
     def key(self) -> str:
         """Stable identity for memoizing per-workload alone-run IPCs."""

@@ -14,13 +14,14 @@ to amortize the read/write turnaround penalty — matching the paper's
 
 Hot-path notes
 --------------
-``_dispatch``/``_complete`` run once per DRAM access and dominate
+``_dispatch``/``_complete_next`` run once per DRAM access and dominate
 memory-bound simulations, so they avoid per-call allocation: CAS
 accounting is a flat per-kind integer array (``cas_by_kind`` is a
-derived view), completions ride a FIFO drained by one bound method
-instead of a fresh closure per dispatch (data-bus serialization makes
-finish times monotonic, so FIFO order is completion order), and bank /
-timing lookups are bound to locals inside the loop bodies.
+derived view) updated inline, completions ride a FIFO drained by one
+bound method instead of a fresh closure per dispatch (data-bus
+serialization makes finish times monotonic, so FIFO order is completion
+order), and each request's row and bank are computed once, at
+``enqueue``, rather than on every FR-FCFS scan.
 """
 
 from __future__ import annotations
@@ -84,23 +85,6 @@ class ChannelStats:
         self.demand_reads_done: int = 0
         self.mode_switches: int = 0
 
-    def record_dispatch(self, req: Request, row_hit: bool, burst: int) -> None:
-        self._cas_counts[req.kind.index] += 1
-        if row_hit:
-            self.row_hits += 1
-        else:
-            self.row_misses += 1
-        self.busy_cycles += burst
-
-    def record_completion(self, req: Request) -> None:
-        if req.is_write:
-            self.writes_done += 1
-        else:
-            self.reads_done += 1
-        if req.kind is _DEMAND_READ:
-            self.demand_reads_done += 1
-            self.demand_read_latency_sum += req.total_latency()
-
     @property
     def cas_by_kind(self) -> dict[AccessKind, int]:
         """Derived per-kind CAS view (kinds seen, enum order)."""
@@ -111,10 +95,6 @@ class ChannelStats:
     @property
     def total_cas(self) -> int:
         return sum(self._cas_counts)
-
-    def cas_count(self, kind: AccessKind) -> int:
-        """CAS count of one kind without building the dict view."""
-        return self._cas_counts[kind.index]
 
     def row_hit_rate(self) -> float:
         total = self.row_hits + self.row_misses
@@ -217,6 +197,9 @@ class DramChannel:
     def enqueue(self, req: Request) -> None:
         """Accept a request; completion is signalled via its callback."""
         req.issue_cycle = self.sim.now
+        row = (req.line // self.interleave) // self.row_lines
+        req.row = row
+        req.bank = self._banks[row % self.num_banks]
         if req.is_write:
             self._write_q.append(req)
         else:
@@ -231,10 +214,6 @@ class DramChannel:
     @property
     def write_queue_len(self) -> int:
         return len(self._write_q)
-
-    @property
-    def burst_cpu_cycles(self) -> int:
-        return self._burst
 
     def expected_read_latency(self) -> int:
         """Rough service estimate used by SBD: queue drain + one access.
@@ -259,13 +238,6 @@ class DramChannel:
             "mode_switches": self.stats.mode_switches,
             "total_cas": self.stats.total_cas,
         }
-
-    # ------------------------------------------------------------------
-    # Address mapping
-    # ------------------------------------------------------------------
-    def _bank_and_row(self, line: int) -> tuple[int, int]:
-        row = (line // self.interleave) // self.row_lines
-        return row % self.num_banks, row
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -309,31 +281,27 @@ class DramChannel:
     def _pick_request(self, queue: Deque[Request]) -> Request:
         """FR-FCFS-lite: pick the request that can deliver data soonest.
 
-        Scans a small window: an open-row hit wins immediately; otherwise
-        the request whose bank frees earliest is chosen, so a bank-blocked
-        head of line does not idle the data bus.
+        Scans a small window for the earliest command-ready time, ties
+        going to the oldest request. An open-row hit gets the shorter
+        hit latency but does not win outright: a miss on an idle bank
+        can beat a hit on a busy one, so a bank-blocked head of line
+        does not idle the data bus.
         """
         limit = min(self.frfcfs_window, len(queue))
         if limit == 1:
             return queue.popleft()
-        interleave = self.interleave
-        row_lines = self.row_lines
-        num_banks = self.num_banks
-        banks = self._banks
         hit_lat = self._hit_lat
         miss_lat = self._miss_lat
         tras = self._tras
-        best_idx = 0
+        best_idx = idx = 0
         best_ready: Optional[int] = None
-        for idx in range(limit):
-            req = queue[idx]
-            row = (req.line // interleave) // row_lines
-            bank = banks[row % num_banks]
+        for req in queue:
+            bank = req.bank
             busy = bank.busy_until
             issue = req.issue_cycle
             if busy < issue:
                 busy = issue
-            if bank.open_row == row:
+            if bank.open_row == req.row:
                 ready = busy + hit_lat
             else:
                 activate_ok = bank.last_activate + tras
@@ -342,6 +310,9 @@ class DramChannel:
                 ready = busy + miss_lat
             if best_ready is None or ready < best_ready:
                 best_idx, best_ready = idx, ready
+            idx += 1
+            if idx == limit:
+                break
         if best_idx == 0:
             return queue.popleft()
         req = queue[best_idx]
@@ -368,9 +339,8 @@ class DramChannel:
         switched = self._mode != prev_mode
         req = self._pick_request(queue)
 
-        line = req.line
-        row = (line // self.interleave) // self.row_lines
-        bank = self._banks[row % self.num_banks]
+        row = req.row
+        bank = req.bank
         row_hit = bank.open_row == row
 
         cmd_t = bank.busy_until
@@ -406,21 +376,40 @@ class DramChannel:
 
         self._bus_free = data_end
         req.start_cycle = data_start
-        self.stats.record_dispatch(req, row_hit, burst)
+        stats = self.stats
+        stats._cas_counts[req.kind.index] += 1
+        if row_hit:
+            stats.row_hits += 1
+        else:
+            stats.row_misses += 1
+        stats.busy_cycles += burst
 
         finish = data_end + self._io
         self._completions.append((req, finish))
         sim = self.sim
+        heap = sim._queue
         seq = sim._seq
+        _heappush(heap, (finish, seq, self._complete_next))
+        if self._read_q or self._write_q:
+            # _kick, inlined (_dispatch_pending is still False here).
+            self._dispatch_pending = True
+            now = sim.now
+            seq += 1
+            _heappush(heap, (data_end if data_end > now else now, seq,
+                             self._dispatch))
         sim._seq = seq + 1
-        _heappush(sim._queue, (finish, seq, self._complete_next))
-        if (self._read_q or self._write_q) and not self._dispatch_pending:
-            self._kick()
 
     def _complete_next(self) -> None:
         req, finish = self._completions.popleft()
         req.finish_cycle = finish
-        self.stats.record_completion(req)
+        stats = self.stats
+        if req.is_write:
+            stats.writes_done += 1
+        else:
+            stats.reads_done += 1
+            if req.kind is _DEMAND_READ:
+                stats.demand_reads_done += 1
+                stats.demand_read_latency_sum += finish - req.issue_cycle
         if req.on_complete is not None:
             req.on_complete(req, finish)
         # A completed request may have freed room for draining decisions.

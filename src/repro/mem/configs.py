@@ -19,7 +19,7 @@ per-channel GB/s = 64 bytes / (burst / cmd_ghz ns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.mem.timing import DramTiming
@@ -50,10 +50,6 @@ class DramConfig:
     def peak_gbps(self) -> float:
         """Peak data bandwidth of the whole device in GB/s."""
         return self.channel_gbps * self.num_channels
-
-    def scaled_io(self, extra_io: int) -> "DramConfig":
-        """Copy with a different fixed I/O delay (device cycles)."""
-        return replace(self, timing=self.timing.with_extra_io(extra_io))
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,6 @@ streams get row-buffer hits).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.engine.clock import ClockDomain, accesses_per_cpu_cycle
 from repro.engine.event_queue import Simulator
 from repro.mem.channel import DramChannel
@@ -47,7 +45,7 @@ class MemoryDevice:
 
     def enqueue(self, req: Request) -> None:
         """Route a request to its channel by line interleaving."""
-        self.channel_of(req.line).enqueue(req)
+        self.channels[req.line % self._nch].enqueue(req)
 
     # ------------------------------------------------------------------
     # Bandwidth characteristics (the paper's B_i terms)
@@ -103,9 +101,6 @@ class MemoryDevice:
 
     def pending(self) -> int:
         return self.read_queue_len() + self.write_queue_len()
-
-    def iter_channels(self) -> Iterable[DramChannel]:
-        return iter(self.channels)
 
     def telemetry_sample(self) -> dict:
         """Device snapshot with per-channel drill-down (telemetry)."""

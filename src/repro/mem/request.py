@@ -104,6 +104,8 @@ class Request:
         "start_cycle",
         "finish_cycle",
         "is_write",
+        "row",   # DRAM row and bank state, both set by DramChannel.enqueue
+        "bank",
     )
 
     def __init__(

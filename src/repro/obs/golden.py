@@ -14,15 +14,19 @@ is excluded by construction; everything else, down to per-kind CAS
 ordering and per-decision credit snapshots streamed into the trace, must
 match exactly.
 
+Cells span ``workload x policy x msc_kind`` grids: the sectored, Alloy
+and eDRAM controllers load the DRAM channels differently. Non-sectored
+cells append ``@kind`` to their ``workload/policy`` label.
+
 Usage::
 
-    golden = capture_golden(["mcf"], ["baseline", "dap"], trace_dir=tmp)
+    golden = capture_committed(trace_dir=tmp)
     diff = diff_goldens(load_golden(path), golden)
     assert not diff
 
 ``python -m repro.obs.golden --out tests/golden/determinism_golden.json``
 regenerates the committed golden (only legitimate after an intentional
-model change, never for a perf-only PR).
+model change, never for a perf-only change).
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 GOLDEN_SCHEMA = 1
+
+#: The committed golden's ``(workloads, policies, msc_kinds)`` grids:
+#: both policies on the sectored cache, DAP on Alloy (TAD traffic) and
+#: on eDRAM (separate read and write channels).
+COMMITTED_GRIDS = ((("mcf",), ("baseline", "dap"), ("sectored",)),
+                   (("mcf",), ("dap",), ("alloy", "edram")))
 
 #: Manifest keys that vary run-to-run (or machine-to-machine) and are
 #: therefore excluded from fingerprints.  ``backend`` is provenance, not
@@ -133,8 +143,21 @@ def sha256_file(path: Union[str, Path]) -> str:
     return digest.hexdigest()
 
 
+def _cell_config(scale, policy: str, msc_kind: str):
+    """The experiments' own configuration for one memory-side cache kind."""
+    from repro.experiments.common import scaled_config
+    if msc_kind == "alloy":
+        from repro.experiments.fig14_alloy import alloy_config
+        return alloy_config(scale, policy)
+    if msc_kind == "edram":
+        from repro.experiments.fig02_edram_capacity import edram_config
+        return edram_config(scale, 256, policy)
+    return scaled_config(scale, policy=policy)
+
+
 def capture_cell(workload: str, policy: str, scale_name: str = "smoke",
-                 trace_dir: Optional[Union[str, Path]] = None) -> dict:
+                 trace_dir: Optional[Union[str, Path]] = None,
+                 msc_kind: str = "sectored") -> dict:
     """Run one seeded cell untraced and (optionally) traced.
 
     Returns the cell's fingerprint; when ``trace_dir`` is given the cell
@@ -142,15 +165,17 @@ def capture_cell(workload: str, policy: str, scale_name: str = "smoke",
     asserted identical to the untraced one (telemetry must only
     observe), and the trace's SHA-256 joins the fingerprint.
     """
-    from repro.experiments.common import get_scale, run_mix, scaled_config
+    from repro.experiments.common import get_scale, run_mix
     from repro.obs.telemetry import TelemetryConfig
     from repro.obs.trace import trace_paths
     from repro.workloads.mixes import rate_mix
 
     scale = get_scale(scale_name)
     mix = rate_mix(workload)
-    config = scaled_config(scale, policy=policy)
+    config = _cell_config(scale, policy, msc_kind)
     label = f"{workload}/{policy}"
+    if msc_kind != "sectored":
+        label += f"@{msc_kind}"
 
     system_out: list = []
     result = run_mix(mix, config, scale, label=label, system_out=system_out)
@@ -183,14 +208,26 @@ def capture_cell(workload: str, policy: str, scale_name: str = "smoke",
 
 
 def capture_golden(workloads, policies, scale_name: str = "smoke",
-                   trace_dir: Optional[Union[str, Path]] = None) -> dict:
-    """Fingerprint a grid of ``workload x policy`` cells."""
+                   trace_dir: Optional[Union[str, Path]] = None,
+                   msc_kinds=("sectored",)) -> dict:
+    """Fingerprint a grid of ``workload x policy x msc_kind`` cells."""
     cells = {}
-    for workload in workloads:
-        for policy in policies:
-            entry = capture_cell(workload, policy, scale_name=scale_name,
-                                 trace_dir=trace_dir)
-            cells[entry["label"]] = entry
+    for msc_kind in msc_kinds:
+        for workload in workloads:
+            for policy in policies:
+                entry = capture_cell(workload, policy, scale_name=scale_name,
+                                     trace_dir=trace_dir, msc_kind=msc_kind)
+                cells[entry["label"]] = entry
+    return {"schema": GOLDEN_SCHEMA, "scale": scale_name, "cells": cells}
+
+
+def capture_committed(scale_name: str = "smoke",
+                      trace_dir: Optional[Union[str, Path]] = None) -> dict:
+    """Fingerprint every cell of :data:`COMMITTED_GRIDS`."""
+    cells = {}
+    for workloads, policies, kinds in COMMITTED_GRIDS:
+        cells.update(capture_golden(workloads, policies, scale_name,
+                                    trace_dir, msc_kinds=kinds)["cells"])
     return {"schema": GOLDEN_SCHEMA, "scale": scale_name, "cells": cells}
 
 
@@ -233,14 +270,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Capture a determinism golden fingerprint")
     parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--workloads", nargs="*", default=["mcf"])
-    parser.add_argument("--policies", nargs="*", default=["baseline", "dap"])
     parser.add_argument("--scale", default="smoke")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        golden = capture_golden(args.workloads, args.policies,
-                                scale_name=args.scale, trace_dir=tmp)
+        golden = capture_committed(scale_name=args.scale, trace_dir=tmp)
     print(f"golden written to {write_golden(args.out, golden)}")
     return 0
 

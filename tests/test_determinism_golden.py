@@ -1,7 +1,8 @@
 """The committed determinism golden must match a fresh capture exactly.
 
 ``tests/golden/determinism_golden.json`` fingerprints a seeded grid of
-smoke cells — per-core cycles/instructions, every channel counter, the
+smoke cells (both policies on the sectored cache, DAP on Alloy and on
+eDRAM) — per-core cycles/instructions, every channel counter, the
 telemetry sample stream, and the SHA-256 of the JSONL trace bytes. It
 was captured before the simulator hot-path work and is the contract
 that optimization changes *wall clock only*: any change to event order,
@@ -15,7 +16,7 @@ behaviour — never to make an optimization pass.
 import tempfile
 from pathlib import Path
 
-from repro.obs.golden import capture_golden, diff_goldens, load_golden
+from repro.obs.golden import capture_committed, diff_goldens, load_golden
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_golden.json"
 
@@ -25,7 +26,7 @@ def test_fresh_capture_matches_committed_golden():
     # capture includes the telemetry fingerprint and trace hash, so the
     # comparison covers observation byte-identity too.
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = capture_golden(["mcf"], ["baseline", "dap"], trace_dir=tmp)
+        fresh = capture_committed(trace_dir=tmp)
     committed = load_golden(GOLDEN_PATH)
     diffs = diff_goldens(committed, fresh)
     assert diffs == [], "simulated behaviour drifted from the golden:\n" + \

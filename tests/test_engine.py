@@ -126,3 +126,83 @@ def test_max_events_zero_dispatches_nothing():
     sim.schedule(5, lambda: fired.append(5))
     assert sim.run(until=50, max_events=0) == 0
     assert fired == [] and sim.now == 0 and sim.pending == 1
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["run", "run_until"])
+def test_events_dispatched_exact_when_a_callback_raises(bounded):
+    # The unbounded path derives its count from sequence numbers; both
+    # paths count the raising event (it was popped and called) and
+    # nothing still queued, and a later run() continues the count.
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        sim.schedule(5, lambda: fired.append("after"))
+        raise RuntimeError("boom")
+
+    sim.schedule(1, lambda: fired.append(1))
+    sim.schedule(2, boom)
+    sim.schedule(3, lambda: fired.append(3))
+    with pytest.raises(RuntimeError):
+        if bounded:
+            sim.run(until=100)
+        else:
+            sim.run()
+    assert fired == [1]
+    assert sim.events_dispatched == 2
+    assert sim.pending == 2
+    assert not sim.inline_ok
+    assert sim.run() == 2
+    assert fired == [1, 3, "after"]
+    assert sim.events_dispatched == 4
+
+
+def test_inline_ok_only_inside_unbounded_run():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1, lambda: seen.append(("run", sim.inline_ok)))
+    sim.run()
+    sim.schedule(1, lambda: seen.append(("until", sim.inline_ok)))
+    sim.run(until=sim.now + 10)
+    sim.schedule(1, lambda: seen.append(("max_events", sim.inline_ok)))
+    sim.run(max_events=5)
+    sim.schedule(1, lambda: seen.append(("step", sim.inline_ok)))
+    sim.step()
+    assert seen == [("run", True), ("until", False), ("max_events", False),
+                    ("step", False)]
+    assert not sim.inline_ok
+
+
+def test_nested_run_counts_each_event_once():
+    sim = Simulator()
+    sim.schedule(1, lambda: None)
+    sim.schedule(2, lambda: sim.run(max_events=1))
+    sim.schedule(3, lambda: None)
+    sim.schedule(4, lambda: sim.run())
+    sim.schedule(9, lambda: None)
+    sim.run()
+    assert sim.events_dispatched == 5
+    assert sim.pending == 0
+
+
+def test_step_and_max_events_never_dispatch_past_their_budget():
+    # Self-rescheduling chains keep the queue non-empty; every bounded
+    # call stops exactly at its budget.
+    sim = Simulator()
+
+    def chain(period):
+        def tick():
+            sim.schedule(period, tick)
+        return tick
+
+    for period in (1, 2, 3):
+        sim.schedule(period, chain(period))
+    for budget in (0, 1, 4, 7):
+        before = sim.events_dispatched
+        assert sim.run(max_events=budget) == budget
+        assert sim.events_dispatched - before == budget
+    for _ in range(5):
+        before = sim.events_dispatched
+        assert sim.step()
+        assert sim.events_dispatched - before == 1
+    assert sim.pending == 3
